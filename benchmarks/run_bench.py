@@ -189,10 +189,7 @@ def bench_planner(args) -> dict:
         )
 
         planner = QueryPlanner(sc, index_order=order)
-        stats = planner.statistics(rdd)
-        plan = planner.plan_filter(
-            rdd, query, INTERSECTS, stats=stats, require_index=True
-        )
+        plan = planner.plan_filter(rdd, query, INTERSECTS, require_index=True)
 
         def run_planned():
             return sorted(

@@ -40,27 +40,12 @@ W = TypeVar("W")
 
 
 def _partition_extent(it: Iterator[tuple[STObject, V]]) -> Envelope:
-    """One partition's merged envelope via mutable min/max accumulators.
+    """One partition's merged envelope (see :meth:`Envelope.of_envelopes`).
 
-    ``Envelope.merge`` allocates a frozen instance per element; this
-    pass runs over *every* member of *every* partition before each
-    non-pruned join, so it accumulates four floats instead.  Module
-    level (not a closure) so the processes executor ships it by
+    Module level (not a closure) so the processes executor ships it by
     reference.
     """
-    min_x = min_y = float("inf")
-    max_x = max_y = float("-inf")
-    for key, _value in it:
-        env = key.geo.envelope
-        if env.min_x < min_x:
-            min_x = env.min_x
-        if env.min_y < min_y:
-            min_y = env.min_y
-        if env.max_x > max_x:
-            max_x = env.max_x
-        if env.max_y > max_y:
-            max_y = env.max_y
-    return Envelope(min_x, min_y, max_x, max_y)
+    return Envelope.of_envelopes(key.geo.envelope for key, _value in it)
 
 
 def partition_extents(rdd: RDD) -> list[Envelope]:

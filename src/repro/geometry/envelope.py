@@ -50,6 +50,28 @@ class Envelope:
             max_y = max(max_y, y)
         return Envelope(min_x, min_y, max_x, max_y)
 
+    @staticmethod
+    def of_envelopes(envelopes: Iterable["Envelope"]) -> "Envelope":
+        """The tightest envelope around an iterable of envelopes.
+
+        Equal to folding :meth:`merge` over them, but accumulates four
+        floats instead of allocating a frozen instance per element: the
+        per-partition extent and statistics passes run it over every
+        row.  Empty envelopes never move an accumulator.
+        """
+        min_x = min_y = math.inf
+        max_x = max_y = -math.inf
+        for env in envelopes:
+            if env.min_x < min_x:
+                min_x = env.min_x
+            if env.min_y < min_y:
+                min_y = env.min_y
+            if env.max_x > max_x:
+                max_x = env.max_x
+            if env.max_y > max_y:
+                max_y = env.max_y
+        return Envelope(min_x, min_y, max_x, max_y)
+
     def __post_init__(self) -> None:
         for value in (self.min_x, self.min_y, self.max_x, self.max_y):
             if math.isnan(value):

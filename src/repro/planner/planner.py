@@ -1,8 +1,8 @@
 """The query planner: statistics + cost model -> executable plans.
 
 :class:`QueryPlanner` is deliberately small: it collects statistics
-with one job (:func:`repro.planner.stats.collect_statistics`), asks the
-:class:`~repro.planner.cost.CostModel` to rank strategies for the
+with one job per RDD (:func:`repro.planner.stats.collect_statistics`),
+asks the :class:`~repro.planner.cost.CostModel` to rank strategies for the
 concrete query, and packages the winner -- with every alternative it
 beat -- into a plan object whose ``explain()`` renders the decision the
 way ``EXPLAIN`` does in a database.
@@ -210,8 +210,8 @@ class QueryPlanner:
     """Plans and executes spatio-temporal operations cost-based.
 
     One planner instance can serve many queries; statistics are
-    collected per ``plan_*`` call (pass ``stats=`` to reuse a
-    collection across queries on the same dataset).
+    collected once per RDD and memoized on it
+    (:func:`~repro.planner.stats.collect_statistics`).
     """
 
     def __init__(
@@ -232,7 +232,7 @@ class QueryPlanner:
         return self._model
 
     def statistics(self, rdd: "RDD") -> DatasetStatistics:
-        """Collect statistics for *rdd* (one job)."""
+        """Statistics for *rdd* (one job on the first call per RDD)."""
         return collect_statistics(rdd, self._sample_target)
 
     def plan_filter(
@@ -240,7 +240,6 @@ class QueryPlanner:
         rdd: "RDD",
         query: STObject,
         predicate: STPredicate,
-        stats: DatasetStatistics | None = None,
         require_index: bool = False,
         repetitions: int = 1,
     ) -> FilterPlan:
@@ -251,7 +250,7 @@ class QueryPlanner:
         a caller that holds (or intends to persist) an indexed handle.
         ``repetitions`` amortizes build cost over that many queries.
         """
-        stats = stats or self.statistics(rdd)
+        stats = self.statistics(rdd)
         region = predicate.candidate_region(query.geo.envelope)
         ss = stats.spatial_selectivity(region)
         st = stats.temporal_selectivity(query.time)
@@ -318,12 +317,10 @@ class QueryPlanner:
         left: "RDD",
         right: "RDD",
         predicate: STPredicate,
-        left_stats: DatasetStatistics | None = None,
-        right_stats: DatasetStatistics | None = None,
     ) -> JoinPlan:
         """Recommend a join strategy (advisory; join results never change)."""
-        left_stats = left_stats or self.statistics(left)
-        right_stats = right_stats or self.statistics(right)
+        left_stats = self.statistics(left)
+        right_stats = self.statistics(right)
         pairs = left_stats.count * right_stats.count
         if pairs < SMALL_DATASET_ROWS * SMALL_DATASET_ROWS:
             order = None
@@ -368,10 +365,9 @@ class QueryPlanner:
         rdd: "RDD",
         query: STObject,
         k: int,
-        stats: DatasetStatistics | None = None,
     ) -> KnnPlan:
         """Recommend a kNN route for *query* over *rdd*."""
-        stats = stats or self.statistics(rdd)
+        stats = self.statistics(rdd)
         # Index probing pays off when the data dwarfs the result: the
         # tree touches O(log n + k) entries per partition vs n for scan.
         use_index = stats.count > max(

@@ -124,27 +124,30 @@ class DatasetStatistics:
 def _summarize_partition(
     split: int, it: Iterator, reservoir_size: int, seed: int
 ) -> Iterator[_PartitionSummary]:
-    """Reduce one partition to a :class:`_PartitionSummary`."""
+    """Reduce one partition to a :class:`_PartitionSummary` in one pass."""
     rng = random.Random(seed * 1_000_003 + split)
     reservoir: list = []
-    count = 0
-    timed = 0
-    env = Envelope.empty()
+    count = timed = 0
     t_lo, t_hi = float("inf"), float("-inf")
-    for kv in it:
-        key = kv[0]
-        count += 1
-        env = env.merge(key.geo.envelope)
-        if key.time is not None:
-            timed += 1
-            t_lo = min(t_lo, key.time.start)
-            t_hi = max(t_hi, key.time.end)
-        if len(reservoir) < reservoir_size:
-            reservoir.append(key)
-        else:
-            j = rng.randrange(count)
-            if j < reservoir_size:
-                reservoir[j] = key
+
+    def envelopes() -> Iterator[Envelope]:
+        nonlocal count, timed, t_lo, t_hi
+        for kv in it:
+            key = kv[0]
+            count += 1
+            if key.time is not None:
+                timed += 1
+                t_lo = min(t_lo, key.time.start)
+                t_hi = max(t_hi, key.time.end)
+            if len(reservoir) < reservoir_size:
+                reservoir.append(key)
+            else:
+                j = rng.randrange(count)
+                if j < reservoir_size:
+                    reservoir[j] = key
+            yield key.geo.envelope
+
+    env = Envelope.of_envelopes(envelopes())
     yield _PartitionSummary(count, timed, env, t_lo, t_hi, reservoir)
 
 
@@ -155,10 +158,17 @@ def collect_statistics(
 ) -> DatasetStatistics:
     """Collect :class:`DatasetStatistics` for an ``RDD[(STObject, V)]``.
 
-    Runs exactly one job; each task returns a constant-size summary, so
-    the driver-side cost is proportional to the partition count and the
-    sample size, never the data size.
+    Runs one job per RDD and ``(sample_target, seed)``: the result is
+    memoized on the RDD (``_statistics``) like
+    :func:`repro.core.join.partition_extents`, since fixed lineage and
+    deterministic recomputation mean it can never go stale.  Each task
+    returns a constant-size summary, so the driver-side cost is
+    proportional to the partition count and the sample size.
     """
+    memo = vars(rdd).setdefault("_statistics", {})  # atomic: no lost memo
+    cached = memo.get((sample_target, seed))
+    if cached is not None:
+        return cached
     per_partition = max(
         MIN_PARTITION_RESERVOIR,
         -(-sample_target // max(1, rdd.num_partitions)),
@@ -170,20 +180,20 @@ def collect_statistics(
     summaries = rdd.map_partitions_with_index(summarize).collect()
     count = sum(s.count for s in summaries)
     timed = sum(s.timed for s in summaries)
-    envelope = Envelope.empty()
     t_lo, t_hi = float("inf"), float("-inf")
     sample: list = []
     for s in summaries:
-        envelope = envelope.merge(s.envelope)
         t_lo = min(t_lo, s.t_lo)
         t_hi = max(t_hi, s.t_hi)
         sample.extend(s.reservoir)
-    return DatasetStatistics(
+    stats = DatasetStatistics(
         count=count,
         num_partitions=len(summaries),
         partition_cardinalities=[s.count for s in summaries],
-        spatial_extent=envelope,
+        spatial_extent=Envelope.of_envelopes(s.envelope for s in summaries),
         temporal_extent=Interval(t_lo, t_hi) if t_lo <= t_hi else None,
         timed_count=timed,
         sample=sample,
     )
+    memo[(sample_target, seed)] = stats
+    return stats

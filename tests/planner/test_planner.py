@@ -68,10 +68,9 @@ class TestCostModelDirection:
     def test_repetitions_amortize_build_cost(self, sc):
         planner = QueryPlanner(sc)
         rdd = make_rdd(sc)
-        stats = planner.statistics(rdd)
-        once = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS, stats=stats)
+        once = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS)
         many = planner.plan_filter(
-            rdd, SELECTIVE_QUERY, INTERSECTS, stats=stats, repetitions=1000
+            rdd, SELECTIVE_QUERY, INTERSECTS, repetitions=1000
         )
         amortized = [e for e in [many.estimate] + many.alternatives if e.mode]
         one_shot = [e for e in [once.estimate] + once.alternatives if e.mode]

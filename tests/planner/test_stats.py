@@ -49,12 +49,19 @@ class TestCollection:
         assert stats.timed_fraction == 0.0
 
     def test_sample_is_bounded_and_deterministic(self, sc):
-        rdd = make_rdd(sc, n=5000, partitions=4)
-        stats = collect_statistics(rdd, sample_target=100)
+        stats = collect_statistics(
+            make_rdd(sc, n=5000, partitions=4), sample_target=100
+        )
         # ceil(100 / 4) = 25 per partition, 4 partitions.
         assert len(stats.sample) == 100
-        again = collect_statistics(rdd, sample_target=100)
-        assert [k.geo.wkt for k in stats.sample] == [k.geo.wkt for k in again.sample]
+        # A second RDD built the same way: the memo on the first RDD
+        # must not stand in for seeded sampling determinism.
+        again = collect_statistics(
+            make_rdd(sc, n=5000, partitions=4), sample_target=100
+        )
+        assert [k.geo.wkt() for k in stats.sample] == [
+            k.geo.wkt() for k in again.sample
+        ]
 
     def test_empty_rdd(self, sc):
         stats = collect_statistics(sc.parallelize([], 2))
