@@ -66,6 +66,23 @@ def partition_extents(rdd: RDD) -> list[Envelope]:
     return extents
 
 
+def right_trees(rdd: RDD, order: int) -> RDD:
+    """The persisted per-partition STR-trees that joins probe on *rdd*.
+
+    Memoized on the RDD per node capacity (``_join_trees``), like
+    :func:`partition_extents`, so repeated joins share one tree RDD.
+    """
+    memo = vars(rdd).setdefault("_join_trees", {})  # atomic: no lost memo
+    if order not in memo:
+
+        def build_tree(it: Iterator) -> Iterator[STRTree]:
+            yield STRTree(((kv[0].geo.envelope, kv) for kv in it), node_capacity=order)
+
+        trees = rdd.map_partitions(build_tree, preserves_partitioning=True)
+        memo.setdefault(order, trees.persist())
+    return memo[order]
+
+
 def candidate_partition_pairs(
     left_extents: list[Envelope],
     right_extents: list[Envelope],
@@ -96,10 +113,10 @@ class SpatialJoinRDD(RDD[tuple]):
     """One partition per surviving (left, right) partition pair.
 
     With live indexing, the right side's per-partition STR-trees are
-    built through a cached tree RDD, so each right partition is indexed
-    exactly **once** no matter how many left partitions pair with it --
-    the same reuse STARK gets from indexing the right relation before
-    the join rather than inside every task.
+    built through a cached tree RDD (:func:`right_trees`), so each right
+    partition is indexed **once** however many left partitions and joins
+    pair with it -- the same reuse STARK gets from indexing the right
+    relation before the join rather than inside every task.
     """
 
     def __init__(
@@ -115,20 +132,9 @@ class SpatialJoinRDD(RDD[tuple]):
         self._right = right
         self._predicate = predicate
         self._pairs = pairs
-        self._index_order = index_order
-        if index_order is not None:
-            order = index_order
-
-            def build_tree(it: Iterator) -> Iterator[STRTree]:
-                yield STRTree(
-                    ((kv[0].geo.envelope, kv) for kv in it), node_capacity=order
-                )
-
-            self._right_trees = right.map_partitions(
-                build_tree, preserves_partitioning=True
-            ).persist()
-        else:
-            self._right_trees = None
+        self._right_trees = (
+            None if index_order is None else right_trees(right, index_order)
+        )
 
     @property
     def num_partitions(self) -> int:

@@ -139,14 +139,18 @@ def locate_point_in_ring(p: Coord, ring: Sequence[Coord]) -> int:
         raise ValueError("a closed ring needs at least 4 coordinates")
     px, py = p
     # Boundary pass first: crossing counts are unreliable on the boundary.
-    for i in range(len(ring) - 1):
-        if on_segment(p, ring[i], ring[i + 1]):
+    # This is on_segment with its pure conjuncts swapped: the cheap box
+    # test runs first, orientation only for edges whose box holds p.
+    for a, b in zip(ring, ring[1:]):
+        if (
+            min(a[0], b[0]) - _EPS <= px <= max(a[0], b[0]) + _EPS
+            and min(a[1], b[1]) - _EPS <= py <= max(a[1], b[1]) + _EPS
+            and orientation(a, b, p) == 0
+        ):
             return BOUNDARY
 
     crossings = 0
-    for i in range(len(ring) - 1):
-        x1, y1 = ring[i]
-        x2, y2 = ring[i + 1]
+    for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
         # Count edges crossed by the ray going in +x from p.  The
         # half-open test (y1 <= py < y2 or y2 <= py < y1) ensures a
         # vertex exactly at py is counted once.

@@ -2,8 +2,8 @@
 
 Envelopes are the workhorse of every pruning decision in the system: the
 spatial partitioners describe partition bounds and extents with them, the
-STR-tree stores them at every node, and the join/filter operators use them
-for the cheap reject test before the exact predicate runs.
+STR-tree keeps one per entry, and the join/filter operators use them for
+the cheap reject test before the exact predicate runs.
 """
 
 from __future__ import annotations

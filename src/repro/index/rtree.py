@@ -7,6 +7,9 @@ runs of *node_capacity* entries into nodes, recursing until a single
 root remains.  The tree is build-once (like JTS): queries are available
 after construction, inserts are not.
 
+Nodes hold their bounds as four plain floats that traversal compares
+inline; leaf rows are the caller's ``(Envelope, item)`` entries.
+
 Supported queries:
 
 - :meth:`query` -- all items whose envelope intersects a query envelope
@@ -21,7 +24,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
+import math
+from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 from repro.geometry.envelope import Envelope
 
@@ -29,48 +33,20 @@ T = TypeVar("T")
 
 DEFAULT_NODE_CAPACITY = 10
 
-_INF = float("inf")
 
+class _Node:
+    """Bounds as four floats; ``rows`` are ``(Envelope, item)`` entries
+    in a leaf and child nodes otherwise."""
 
-class _Node(Generic[T]):
-    __slots__ = ("envelope", "children", "entries")
+    __slots__ = ("min_x", "min_y", "max_x", "max_y", "leaf", "rows")
 
-    def __init__(
-        self,
-        envelope: Envelope,
-        children: list["_Node[T]"] | None = None,
-        entries: list[tuple[Envelope, T]] | None = None,
-    ) -> None:
-        self.envelope = envelope
-        self.children = children
-        self.entries = entries
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.entries is not None
-
-
-def _merge_envelopes(envelopes: Iterable[Envelope]) -> Envelope:
-    # Four float accumulators instead of one frozen Envelope allocation
-    # per merge: this runs for every node of every bulk-load, and tree
-    # builds happen once per join task.
-    min_x = min_y = _INF
-    max_x = max_y = -_INF
-    for env in envelopes:
-        if env.min_x < min_x:
-            min_x = env.min_x
-        if env.min_y < min_y:
-            min_y = env.min_y
-        if env.max_x > max_x:
-            max_x = env.max_x
-        if env.max_y > max_y:
-            max_y = env.max_y
-    return Envelope(min_x, min_y, max_x, max_y)
-
-
-def _chunks(rows: Sequence, size: int) -> Iterator[Sequence]:
-    for start in range(0, len(rows), size):
-        yield rows[start : start + size]
+    def __init__(self, bounds: Envelope, leaf: bool, rows: list) -> None:
+        self.min_x = bounds.min_x
+        self.min_y = bounds.min_y
+        self.max_x = bounds.max_x
+        self.max_y = bounds.max_y
+        self.leaf = leaf
+        self.rows = rows
 
 
 class STRTree(Generic[T]):
@@ -109,7 +85,7 @@ class STRTree(Generic[T]):
     @property
     def envelope(self) -> Envelope:
         """Bounds of the whole tree (empty for an empty tree)."""
-        return self._root.envelope if self._root is not None else Envelope.empty()
+        return Envelope.of_envelopes([self._root] if self._root is not None else [])
 
     @property
     def height(self) -> int:
@@ -118,37 +94,35 @@ class STRTree(Generic[T]):
         node = self._root
         while node is not None:
             levels += 1
-            node = node.children[0] if node.children else None
+            node = None if node.leaf else node.rows[0]
         return levels
 
     # -- construction --------------------------------------------------------
 
-    def _build(self, entries: list[tuple[Envelope, T]]) -> _Node[T] | None:
+    def _build(self, entries: list[tuple[Envelope, T]]) -> _Node | None:
         if not entries:
             return None
         cap = self.node_capacity
 
         # Leaf level: STR tiling of the raw entries.
-        leaves = [
-            _Node(_merge_envelopes(e for e, _ in chunk), entries=list(chunk))
-            for chunk in self._str_tiles(entries, lambda entry: entry[0], cap)
+        level = [
+            _Node(Envelope.of_envelopes(e for e, _ in tile), True, tile)
+            for tile in self._str_tiles(entries, lambda entry: entry[0], cap)
         ]
-        level: list[_Node[T]] = leaves
         while len(level) > 1:
+            # Nodes quack like envelopes (same four bound attributes).
             level = [
-                _Node(
-                    _merge_envelopes(n.envelope for n in chunk),
-                    children=list(chunk),
-                )
-                for chunk in self._str_tiles(level, lambda node: node.envelope, cap)
+                _Node(Envelope.of_envelopes(tile), False, tile)
+                for tile in self._str_tiles(level, lambda node: node, cap)
             ]
         return level[0]
 
     @staticmethod
-    def _str_tiles(rows: list, env_of: Callable, cap: int) -> Iterator[list]:
-        """Group rows into runs of *cap* using Sort-Tile-Recursive order."""
-        import math
+    def _str_tiles(rows: list, bounds_of: Callable, cap: int) -> Iterator[list]:
+        """Group rows into runs of *cap* using Sort-Tile-Recursive order.
 
+        Sort keys are the same floats as :meth:`Envelope.center`.
+        """
         from repro.spark.cancellation import Heartbeat
 
         # Bulk-loading a large partition's index can take seconds; one
@@ -157,32 +131,46 @@ class STRTree(Generic[T]):
         n = len(rows)
         leaf_count = math.ceil(n / cap)
         slice_count = max(1, math.ceil(math.sqrt(leaf_count)))
-        by_x = sorted(rows, key=lambda r: env_of(r).center()[0])
+        by_x = sorted(rows, key=lambda r: ((b := bounds_of(r)).min_x + b.max_x) / 2.0)
         slice_size = math.ceil(n / slice_count)
-        for vertical in _chunks(by_x, slice_size):
-            by_y = sorted(vertical, key=lambda r: env_of(r).center()[1])
-            for tile in _chunks(by_y, cap):
+        for start in range(0, n, slice_size):
+            by_y = sorted(
+                by_x[start : start + slice_size],
+                key=lambda r: ((b := bounds_of(r)).min_y + b.max_y) / 2.0,
+            )
+            for tile_start in range(0, len(by_y), cap):
                 heartbeat.beat()
-                yield tile
+                yield by_y[tile_start : tile_start + cap]
 
     # -- queries ---------------------------------------------------------------
 
     def query(self, envelope: Envelope) -> list[T]:
         """All items whose envelope intersects *envelope* (candidates)."""
         out: list[T] = []
-        if self._root is None or envelope.is_empty:
+        root = self._root
+        if root is None or envelope.is_empty:
             return out
-        stack = [self._root]
+        x0, y0 = envelope.min_x, envelope.min_y
+        x1, y1 = envelope.max_x, envelope.max_y
+        stack = [root]  # untested: its entries are tested anyway
         while stack:
             node = stack.pop()
-            if not node.envelope.intersects(envelope):
-                continue
-            if node.is_leaf:
-                out.extend(
-                    item for env, item in node.entries if env.intersects(envelope)
-                )
+            if node.leaf:
+                out += [
+                    item
+                    for env, item in node.rows
+                    if env.min_x <= x1 and x0 <= env.max_x
+                    and env.min_y <= y1 and y0 <= env.max_y
+                ]
             else:
-                stack.extend(node.children)
+                # Test before pushing, in stored order: the pop order (and
+                # so the candidate order) of pushing all and testing on pop.
+                stack += [
+                    child
+                    for child in node.rows
+                    if child.min_x <= x1 and x0 <= child.max_x
+                    and child.min_y <= y1 and y0 <= child.max_y
+                ]
         return out
 
     def query_point(self, x: float, y: float) -> list[T]:
@@ -196,10 +184,10 @@ class STRTree(Generic[T]):
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                yield from node.entries
+            if node.leaf:
+                yield from node.rows
             else:
-                stack.extend(node.children)
+                stack.extend(node.rows)
 
     def nearest(
         self,
@@ -228,14 +216,16 @@ class STRTree(Generic[T]):
         if k < 1 or self._root is None:
             return []
 
+        def lower_bound(b) -> float:
+            # Envelope.distance_to_point's expression, on a node or an
+            # entry envelope alike, so distances stay float-identical.
+            return math.hypot(
+                max(b.min_x - x, x - b.max_x, 0.0), max(b.min_y - y, y - b.max_y, 0.0)
+            ) - bound_slack
+
         counter = itertools.count()  # tie-break, keeps heap entries comparable
-        frontier: list[tuple[float, int, object, T | None]] = [
-            (
-                self._root.envelope.distance_to_point(x, y) - bound_slack,
-                next(counter),
-                self._root,
-                None,
-            )
+        frontier: list[tuple[float, int, _Node | None, T | None]] = [
+            (lower_bound(self._root), next(counter), self._root, None)
         ]
         best: list[tuple[float, T]] = []
 
@@ -243,28 +233,27 @@ class STRTree(Generic[T]):
             return best[-1][0] if len(best) == k else float("inf")
 
         while frontier:
-            lower_bound, _tie, node_or_none, item = heapq.heappop(frontier)
-            if lower_bound > kth_best():
+            bound, _tie, node, item = heapq.heappop(frontier)
+            if bound > kth_best():
                 break
-            if node_or_none is None:
-                # A fully-resolved item: lower_bound is its final distance.
-                best.append((lower_bound, item))  # type: ignore[arg-type]
+            if node is None:
+                # A fully-resolved item: bound is its final distance.
+                best.append((bound, item))  # type: ignore[arg-type]
                 best.sort(key=lambda pair: pair[0])
                 if len(best) > k:
                     best.pop()
                 continue
-            node: _Node[T] = node_or_none  # type: ignore[assignment]
-            if node.is_leaf:
-                for env, entry_item in node.entries:
+            if node.leaf:
+                for env, entry_item in node.rows:
                     if exact_distance is not None:
                         d = exact_distance(entry_item)
                     else:
-                        d = env.distance_to_point(x, y) - bound_slack
+                        d = lower_bound(env)
                     if d <= kth_best():
                         heapq.heappush(frontier, (d, next(counter), None, entry_item))
             else:
-                for child in node.children:
-                    d = child.envelope.distance_to_point(x, y) - bound_slack
+                for child in node.rows:
+                    d = lower_bound(child)
                     if d <= kth_best():
                         heapq.heappush(frontier, (d, next(counter), child, None))
         return best

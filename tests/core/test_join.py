@@ -5,6 +5,7 @@ import pytest
 from repro.core.join import (
     candidate_partition_pairs,
     partition_extents,
+    right_trees,
     spatial_join,
 )
 from repro.core.predicates import CONTAINED_BY, CONTAINS, INTERSECTS, within_distance_predicate
@@ -13,6 +14,7 @@ from repro.geometry.envelope import Envelope
 from repro.io.datagen import clustered_points, random_polygons, uniform_points
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
+from repro.spark.context import SparkContext
 
 
 def brute_join(left_rows, right_rows, predicate):
@@ -156,3 +158,84 @@ class TestPairPruning:
         far = within_distance_predicate(1.0)
         assert candidate_partition_pairs(left, right, near) == [(0, 0)]
         assert candidate_partition_pairs(left, right, far) == []
+
+
+class TestRightTreeReuse:
+    """Joins against one right RDD share its persisted tree RDD."""
+
+    def test_repeated_joins_add_no_cache_blocks(self, sc, points_rdd, polys_rdd):
+        first = result_pairs(spatial_join(points_rdd, polys_rdd, CONTAINED_BY))
+        blocks = len(sc._cache)
+        for _ in range(3):
+            again = result_pairs(spatial_join(points_rdd, polys_rdd, CONTAINED_BY))
+            assert again == first
+        assert len(sc._cache) == blocks
+
+    def test_trees_memoized_per_capacity(self, sc, points_rdd, polys_rdd):
+        assert right_trees(polys_rdd, 4) is right_trees(polys_rdd, 4)
+        assert right_trees(polys_rdd, 4) is not right_trees(polys_rdd, 8)
+        by_order = {
+            order: result_pairs(
+                spatial_join(points_rdd, polys_rdd, CONTAINED_BY, index_order=order)
+            )
+            for order in (4, 8, 4)
+        }
+        assert by_order[4] == by_order[8]
+
+    def test_concurrent_lookups_share_one_tree_rdd(self, sc, polys_rdd):
+        import sys
+        import threading
+
+        got = []
+        barrier = threading.Barrier(8)
+
+        def lookup():
+            barrier.wait(timeout=10)
+            got.append(right_trees(polys_rdd, 6))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lookup) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and all(trees is got[0] for trees in got)
+
+    def test_self_join_and_either_side(self, sc, points_rdd, polys_rdd):
+        rows = polys_rdd.collect()
+        want = brute_join(rows, rows, INTERSECTS)
+        for _ in range(2):
+            assert result_pairs(spatial_join(polys_rdd, polys_rdd, INTERSECTS)) == want
+        # The same RDD as the left side, then again as the right side.
+        contains = brute_join(rows, points_rdd.collect(), CONTAINS)
+        contained = brute_join(points_rdd.collect(), rows, CONTAINED_BY)
+        for _ in range(2):
+            assert result_pairs(spatial_join(polys_rdd, points_rdd, CONTAINS)) == contains
+            assert (
+                result_pairs(spatial_join(points_rdd, polys_rdd, CONTAINED_BY))
+                == contained
+            )
+
+
+@pytest.mark.parametrize("executor", ["threads", "processes"])
+def test_shared_right_trees_on_parallel_executors(executor):
+    pts = clustered_points(300, seed=31)
+    polys = random_polygons(80, seed=32, mean_radius_fraction=0.03)
+    want = None
+    with SparkContext(
+        "join-reuse", parallelism=2, executor=executor, retry_backoff=0.0
+    ) as ctx:
+        points = ctx.parallelize([(STObject(p), i) for i, p in enumerate(pts)], 4)
+        shapes = ctx.parallelize([(STObject(p), 1000 + i) for i, p in enumerate(polys)], 3)
+        want = brute_join(points.collect(), shapes.collect(), CONTAINED_BY)
+        for _ in range(3):
+            assert result_pairs(spatial_join(points, shapes, CONTAINED_BY)) == want
+        assert result_pairs(spatial_join(shapes, shapes, INTERSECTS)) == result_pairs(
+            spatial_join(shapes, shapes, INTERSECTS)
+        )
+    assert want  # non-vacuous

@@ -171,3 +171,71 @@ class TestDistanceProperties:
         d = pred.distance(poly, point)
         assert d >= 0.0
         assert d == pred.distance(point, poly)
+
+
+def _reference_locate(p, ring):
+    """The on_segment-first ``locate_point_in_ring`` (the oracle).
+
+    A frozen copy of the boundary pass that calls ``orientation`` before
+    the segment-box test; the production version swaps the two pure
+    conjuncts and must agree on every input.
+    """
+    eps = alg._EPS
+    px, py = p
+    for a, b in zip(ring, ring[1:]):
+        if (
+            alg.orientation(a, b, p) == 0
+            and min(a[0], b[0]) - eps <= px <= max(a[0], b[0]) + eps
+            and min(a[1], b[1]) - eps <= py <= max(a[1], b[1]) + eps
+        ):
+            return alg.BOUNDARY
+    crossings = 0
+    for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
+        if (y1 <= py < y2) or (y2 <= py < y1):
+            if x1 + (py - y1) * (x2 - x1) / (y2 - y1) > px:
+                crossings += 1
+    return alg.INTERIOR if crossings % 2 == 1 else alg.EXTERIOR
+
+
+# Grid coordinates make axis-parallel and collinear edges common; the
+# float ones exercise general position.
+ring_coord = st.one_of(
+    st.integers(-20, 20).map(float),
+    st.floats(-1000, 1000, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def ring_and_probe(draw):
+    vertices = draw(st.lists(st.tuples(ring_coord, ring_coord), min_size=3, max_size=9))
+    ring = vertices + [vertices[0]]
+    (ax, ay), (bx, by) = draw(st.sampled_from(list(zip(ring, ring[1:]))))
+    dx, dy = bx - ax, by - ay
+    length = math.hypot(dx, dy) or 1.0
+    kind = draw(st.sampled_from(["vertex", "edge", "normal", "axis", "extension", "free"]))
+    if kind == "vertex":
+        return ring, (ax, ay)
+    if kind == "free":
+        return ring, draw(st.tuples(ring_coord, ring_coord))
+    if kind == "extension":
+        t = draw(st.one_of(st.floats(-2.0, -1e-9), st.floats(1.0 + 1e-9, 3.0)))
+    else:
+        t = draw(st.floats(0.0, 1.0))
+    x, y = ax + t * dx, ay + t * dy
+    if kind in ("normal", "axis"):
+        offset = draw(st.sampled_from([0.5, -0.5, 2.0, -2.0])) * alg._EPS
+        if kind == "normal":
+            x, y = x - dy / length * offset, y + dx / length * offset
+        elif draw(st.booleans()):
+            x += offset
+        else:
+            y += offset
+    return ring, (x, y)
+
+
+class TestRingLocationEquivalence:
+    @settings(max_examples=600)
+    @given(ring_and_probe())
+    def test_box_first_boundary_pass_matches_reference(self, case):
+        ring, p = case
+        assert alg.locate_point_in_ring(p, ring) == _reference_locate(p, ring)

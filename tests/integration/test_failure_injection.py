@@ -146,6 +146,52 @@ class TestIndexPersistenceFaults:
         # the degradation is visible in the trace report
         assert "index.fallback" in tracer.render()
 
+    def test_old_node_layout_part_falls_back_to_live_index(
+        self, sc, saved_index, monkeypatch
+    ):
+        # A part pickled under the envelope-per-node tree layout no
+        # longer unpickles (those slots are gone); the load rebuilds it
+        # from the sidecar and queries stay exact.
+        from repro.geometry.envelope import Envelope
+        from repro.index import persistence, rtree
+        from repro.spark import storage
+
+        class OldNode:
+            __module__ = rtree.__name__
+            __qualname__ = "_Node"
+            __slots__ = ("envelope", "children", "entries")
+
+        def old_layout(node):
+            old = OldNode()
+            old.envelope = Envelope(node.min_x, node.min_y, node.max_x, node.max_y)
+            old.children = None if node.leaf else [old_layout(c) for c in node.rows]
+            old.entries = list(node.rows) if node.leaf else None
+            return old
+
+        query = STObject("POLYGON ((100 100, 600 100, 600 500, 100 500, 100 100))")
+        want = sorted(v for _k, v in IndexedSpatialRDD.load(sc, saved_index)
+                      .intersects(query).collect())
+        part = os.path.join(saved_index, "part-00001.pkl")
+        trees = storage.read_object_part(part)
+        for tree in trees:
+            tree._root = old_layout(tree._root)
+        with monkeypatch.context() as patched:
+            patched.setattr(rtree, "_Node", OldNode)
+            with open(part, "wb") as f:
+                pickle.dump(trees, f)
+        with pytest.raises(AttributeError):
+            storage.read_object_part(part)
+        persistence.invalidate_index_cache()
+
+        reloaded = IndexedSpatialRDD.load(sc, saved_index)
+        assert sorted(v for _k, v in reloaded.intersects(query).collect()) == want
+        assert reloaded.intersects(
+            STObject("POLYGON ((0 0, 1000 0, 1000 1000, 0 1000, 0 0))")
+        ).count() == 50
+        assert sc.metrics.index_fallbacks == 1
+        assert reloaded.tree_rdd.fallbacks == [1]
+        assert 0 < len(want) < 50  # selective, non-vacuous
+
     def test_corrupt_meta_degrades_to_unpartitioned(self, sc, saved_index):
         with open(os.path.join(saved_index, "_index_meta.pkl"), "wb") as f:
             f.write(b"garbage, not a pickle")
