@@ -120,6 +120,7 @@ def test_dbscan_labels_match_golden(sc):
     rdd = sc.parallelize([(STObject(p), i) for i, p in enumerate(clustered_points(1200, seed=42))], 4)
     part = rdd.partition_by(BSPartitioner.from_rdd(rdd, max_cost_per_partition=200))
     distributed = [value for _key, value in dbscan(part, eps=10.0, min_pts=5).collect()]
+    assert max(local[0]) >= 0 and max(label for _v, label in distributed) >= 0
     assert digest((local, distributed)) == DBSCAN_DIGEST
 
 
